@@ -44,6 +44,10 @@ pub struct Cache {
     /// Flat slot table: set `s` owns `slots[s*ways .. (s+1)*ways]`.
     slots: Vec<Line>,
     num_sets: usize,
+    /// `log2(num_sets)` when the set count is a power of two (L1's 64 and
+    /// L2's 1,024), so a lookup splits the line number with a mask and a
+    /// shift; `None` (the 27.5 MB L3's 40,000 sets) keeps the divide.
+    set_bits: Option<u32>,
     ways: usize,
     tick: u64,
     hits: u64,
@@ -70,6 +74,9 @@ impl Cache {
         Cache {
             slots: vec![EMPTY_LINE; num_sets * ways],
             num_sets,
+            set_bits: num_sets
+                .is_power_of_two()
+                .then(|| num_sets.trailing_zeros()),
             ways,
             tick: 0,
             hits: 0,
@@ -78,10 +85,16 @@ impl Cache {
         }
     }
 
+    #[inline]
     fn set_and_tag(&self, addr: Addr) -> (usize, u64) {
-        let line = addr.cacheline().0 / CACHELINE_BYTES;
-        let num_sets = self.num_sets as u64;
-        ((line % num_sets) as usize, line / num_sets)
+        let line = addr.0 / CACHELINE_BYTES;
+        match self.set_bits {
+            Some(bits) => ((line & ((1 << bits) - 1)) as usize, line >> bits),
+            None => {
+                let num_sets = self.num_sets as u64;
+                ((line % num_sets) as usize, line / num_sets)
+            }
+        }
     }
 
     #[inline]
@@ -349,6 +362,79 @@ mod tests {
         let ev = c.fill(d, false).expect("overflow");
         assert_eq!(ev.addr, a);
         assert!(ev.dirty);
+    }
+
+    /// Runs the same seeded fill/access/invalidate stream against `c` and a
+    /// copy forced onto the divide path, requiring identical outcomes
+    /// (hits, victims with their reconstructed addresses, drained lines).
+    fn assert_shift_matches_divide(mut c: Cache, seed: u64) {
+        assert!(c.set_bits.is_some(), "power-of-two set count");
+        let mut d = c.clone();
+        d.set_bits = None;
+        let num_sets = c.num_sets as u64;
+        let mut rng = simbase::SplitMix64::new(seed);
+        for _ in 0..20_000 {
+            // Full 64-bit addresses plus a dense low region that collides.
+            let addr = if rng.gen_bool(0.5) {
+                Addr(rng.next_u64())
+            } else {
+                Addr(rng.gen_range(num_sets * 64 * 16))
+            };
+            let line = addr.0 / 64;
+            assert_eq!(
+                c.set_and_tag(addr),
+                ((line % num_sets) as usize, line / num_sets)
+            );
+            assert_eq!(c.set_and_tag(addr), d.set_and_tag(addr));
+            match rng.gen_range(3) {
+                0 => assert_eq!(c.access(addr, true), d.access(addr, true)),
+                1 => {
+                    let dirty = rng.gen_bool(0.5);
+                    let (vc, vd) = (c.fill(addr, dirty), d.fill(addr, dirty));
+                    assert_eq!(vc, vd);
+                    if let Some(v) = vc {
+                        // The victim shares the filled line's set.
+                        assert_eq!((v.addr.0 / 64) % num_sets, line % num_sets);
+                        assert!(!c.peek(v.addr));
+                    }
+                }
+                _ => assert_eq!(c.invalidate(addr), d.invalidate(addr)),
+            }
+        }
+        let (mut dc, mut dd) = (c.drain_dirty(), d.drain_dirty());
+        dc.sort();
+        dd.sort();
+        assert_eq!(dc, dd);
+    }
+
+    #[test]
+    fn shift_and_divide_set_indexing_agree() {
+        // L1-shaped (64 sets) and L2-shaped (1,024 sets).
+        assert_shift_matches_divide(Cache::new(32 << 10, 8), 1);
+        assert_shift_matches_divide(Cache::new(1 << 20, 16), 2);
+        // The L3 set count is not a power of two and keeps the divide.
+        let l3 = Cache::new(27_500 << 10, 11);
+        assert_eq!(l3.num_sets, 40_000);
+        assert_eq!(l3.set_bits, None);
+    }
+
+    #[test]
+    fn victim_reconstruction_on_the_shift_path() {
+        let mut rng = simbase::SplitMix64::new(7);
+        let mut c = Cache::new(32 << 10, 8); // 64 sets
+        for _ in 0..1000 {
+            let a = Addr(rng.next_u64() & !63);
+            c.reset();
+            c.fill(a, true);
+            // `ways` more lines in the same set push `a` out.
+            let mut victims = Vec::new();
+            for k in 1..=8u64 {
+                victims.extend(c.fill(Addr(a.0.wrapping_add(k * 64 * 64)), false));
+            }
+            assert_eq!(victims.len(), 1);
+            assert_eq!(victims[0].addr, a);
+            assert!(victims[0].dirty);
+        }
     }
 
     #[test]

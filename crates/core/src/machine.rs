@@ -16,12 +16,11 @@
 //!   threads on socket 1 pay remote penalties on reads and persists and
 //!   use socket 1's own cache hierarchy.
 
-use std::collections::BTreeMap;
-
 use cpucache::{CacheSystem, FlushMode, HitLevel};
-use imc::{DramController, PersistWait, PmController};
+use imc::{DramController, PersistWait, PmController, PmWriteTicket};
 use simbase::{
-    clock::ThreadClock, Addr, ByteCounter, Cycles, SplitMix64, CACHELINE_BYTES, XPLINE_BYTES,
+    clock::ThreadClock, Addr, ByteCounter, Cycles, LineTable, SplitMix64, CACHELINE_BYTES,
+    XPLINE_BYTES,
 };
 use xpmedia::SparseStore;
 
@@ -110,16 +109,7 @@ impl HwThread {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct FlushRecord {
-    issued: Cycles,
-    /// `true` for cacheline write-back flushes (`clwb`/`clflushopt`);
-    /// `false` for non-temporal stores, which never get the relaxed
-    /// `sfence` treatment (Figure 7: nt-store RAP persists on G2).
-    was_flush: bool,
-}
-
-/// Garbage-collection threshold for the transient per-cacheline maps.
+/// Size at which `recent_flush` is dropped wholesale.
 const MAP_GC_THRESHOLD: usize = 1 << 20;
 
 /// Smallest `inflight_fills` length that triggers a prune sweep.
@@ -144,10 +134,10 @@ pub struct Machine {
     pm: PmController,
     dram: DramController,
     persistent: SparseStore,
-    /// Ordered so that iteration (crash images, quiesce folds) is
-    /// address-ordered and therefore identical across processes; the
-    /// determinism contract (DESIGN.md) bans unordered maps in sim state.
-    overlay: BTreeMap<u64, [u8; 64]>,
+    /// Address-ordered, so iteration (crash images, quiesce folds) is
+    /// identical across processes; the determinism contract (DESIGN.md)
+    /// bans unordered maps in sim state.
+    overlay: LineTable<[u8; 64]>,
     dram_image: SparseStore,
     threads: Vec<HwThread>,
     /// Hardware threads per (socket, core).
@@ -155,23 +145,15 @@ pub struct Machine {
     next_core: Vec<usize>,
     /// Cacheline -> completion time of an in-flight fill (prefetch or
     /// demand), for prefetch-timing overlap.
-    inflight_fills: BTreeMap<u64, Cycles>,
-    /// Cacheline -> most recent invalidating flush, for the sfence load
-    /// bypass and persist-wait decisions. Only records with
-    /// `was_flush == true` are stored: an nt-store record is behaviorally
-    /// identical to an absent one (both mean "wait out the full pipeline,
-    /// no load bypass"), so nt-stores *remove* entries instead of
-    /// inserting tombstones — and when `flushes_in_recent` is zero the
-    /// whole map is known empty and the hot paths skip it entirely.
-    recent_flush: BTreeMap<u64, FlushRecord>,
-    /// Number of entries in `recent_flush` (all have `was_flush == true`).
-    flushes_in_recent: usize,
-    /// Conservative inclusive bounds on the keys in `recent_flush`:
-    /// widened on insert, left alone on remove, reset on clear. A key
-    /// outside the bounds is provably absent, which lets streaming loads
-    /// (monotonically increasing addresses, flushes always behind the
-    /// read front) skip the map walk entirely.
-    flush_key_bounds: Option<(u64, u64)>,
+    inflight_fills: LineTable<Cycles>,
+    /// Cacheline -> issue time of its most recent invalidating flush
+    /// (`clwb` on G1, `clflushopt`, `clflush`), for the sfence load bypass
+    /// and persist-wait decisions. Non-temporal stores never get the
+    /// relaxed `sfence` treatment (Figure 7: nt-store RAP persists on G2),
+    /// and a record for them would behave exactly like an absent one
+    /// (full persist wait, no load bypass), so an nt-store *removes* the
+    /// line's record instead of storing a tombstone.
+    recent_flush: LineTable<Cycles>,
     /// Prune `inflight_fills` when it reaches this length. Doubled after
     /// each sweep (amortized O(1)); only entries already complete for
     /// *every* thread's clock are dropped, which no lookup can
@@ -190,6 +172,17 @@ pub struct Machine {
     /// stopped. `baseline.telemetry.demand` is always zero: the demand
     /// counter itself survives quiescing.
     metrics_baseline: MachineMetrics,
+}
+
+/// The minimum over all thread clocks (`fallback` with no threads): the
+/// horizon below which no later access can land, since clocks only
+/// advance.
+fn min_clock(threads: &[HwThread], fallback: Cycles) -> Cycles {
+    threads
+        .iter()
+        .map(|t| t.clock.now())
+        .min()
+        .unwrap_or(fallback)
 }
 
 /// Garble pattern written over a line whose media cells lost their data.
@@ -211,15 +204,13 @@ impl Machine {
             pm,
             dram,
             persistent: SparseStore::new(),
-            overlay: BTreeMap::new(),
+            overlay: LineTable::new(),
             dram_image: SparseStore::new(),
             threads: Vec::new(),
             core_occupancy,
             next_core: vec![0; 2],
-            inflight_fills: BTreeMap::new(),
-            recent_flush: BTreeMap::new(),
-            flushes_in_recent: 0,
-            flush_key_bounds: None,
+            inflight_fills: LineTable::new(),
+            recent_flush: LineTable::new(),
             inflight_gc_watermark: INFLIGHT_GC_MIN,
             demand: ByteCounter::new(),
             pm_next: PM_BASE,
@@ -370,7 +361,15 @@ impl Machine {
             MemRegion::Dram => self.dram_image.read(addr, buf),
             MemRegion::Pm => {
                 // Overlay entries shadow the persistent image per
-                // cacheline.
+                // cacheline. A read within one overlaid line never needs
+                // the image at all.
+                let off = addr.offset_in_cacheline();
+                if off + buf.len() <= CACHELINE_BYTES as usize {
+                    if let Some(bytes) = self.overlay.get(addr.cacheline().0) {
+                        buf.copy_from_slice(&bytes[off..off + buf.len()]);
+                        return;
+                    }
+                }
                 self.persistent.read(addr, buf);
                 let mut pos = 0usize;
                 while pos < buf.len() {
@@ -378,7 +377,7 @@ impl Machine {
                     let cl = a.cacheline();
                     let off = a.offset_in_cacheline();
                     let chunk = (buf.len() - pos).min(CACHELINE_BYTES as usize - off);
-                    if let Some(bytes) = self.overlay.get(&cl.0) {
+                    if let Some(bytes) = self.overlay.get(cl.0) {
                         buf[pos..pos + chunk].copy_from_slice(&bytes[off..off + chunk]);
                     }
                     pos += chunk;
@@ -394,7 +393,7 @@ impl Machine {
             let cl = a.cacheline();
             let off = a.offset_in_cacheline();
             let chunk = (data.len() - pos).min(CACHELINE_BYTES as usize - off);
-            let entry = self.overlay.entry(cl.0).or_insert_with(|| {
+            let entry = self.overlay.get_or_insert_with(cl.0, || {
                 let mut init = [0u8; 64];
                 self.persistent.read(cl, &mut init);
                 init
@@ -407,7 +406,7 @@ impl Machine {
     /// Moves the overlay entry for `cl` into the persistent image (the
     /// data reached the ADR domain).
     fn apply_persist(&mut self, cl: Addr) {
-        if let Some(bytes) = self.overlay.remove(&cl.0) {
+        if let Some(bytes) = self.overlay.remove(cl.0) {
             self.persistent.write(cl, &bytes);
         }
     }
@@ -460,14 +459,14 @@ impl Machine {
         for &cl in wbs {
             match self.region_of(cl) {
                 MemRegion::Pm => {
-                    self.pm.write(now, cl);
+                    self.pm_write(now, cl);
                     self.persist_accept(cl);
                     if self.tracing() {
                         self.emit(TraceEvent::WriteBack { line: cl, at: now });
                     }
                 }
                 MemRegion::Dram => {
-                    self.dram.write(now, cl);
+                    self.dram_write(now, cl);
                 }
             }
         }
@@ -477,7 +476,7 @@ impl Machine {
     fn issue_prefetches(&mut self, socket: usize, core: usize, now: Cycles, list: &[Addr]) {
         for &pf in list {
             let cl = pf.cacheline();
-            if let Some(&done) = self.inflight_fills.get(&cl.0) {
+            if let Some(&done) = self.inflight_fills.get(cl.0) {
                 if done > now {
                     continue;
                 }
@@ -494,65 +493,41 @@ impl Machine {
             // Every reader filters on `done > now`, so an entry complete
             // for the slowest thread's clock is indistinguishable from an
             // absent one for every thread, forever (clocks only advance).
-            let horizon = self
-                .threads
-                .iter()
-                .map(|t| t.clock.now())
-                .min()
-                .unwrap_or(now);
+            let horizon = min_clock(&self.threads, now);
             self.inflight_fills.retain(|_, &mut done| done > horizon);
             self.inflight_gc_watermark = (self.inflight_fills.len() * 2).max(INFLIGHT_GC_MIN);
-            // Same horizon argument holds for the controller's in-flight
-            // write records: every future call passes a thread clock, and
-            // all of those are >= horizon.
-            self.pm.gc_inflight(horizon);
         }
     }
 
-    /// Offers the PM controller a chance to collect completed in-flight
-    /// write records (see [`imc::PmController::gc_inflight`] for why the
-    /// min-over-clocks horizon is exact). Called from the store-side hot
-    /// paths, which never issue prefetches and would otherwise let the
-    /// map grow for an entire write phase.
-    fn gc_pm_inflight(&mut self) {
-        let Some(horizon) = self.threads.iter().map(|t| t.clock.now()).min() else {
-            return;
-        };
-        self.pm.gc_inflight(horizon);
+    /// Accepts a PM write at the controller, then offers it the chance to
+    /// collect completed in-flight write records against the minimum over
+    /// all thread clocks (see [`imc::PmController::gc_inflight`] for why
+    /// that horizon is exact: every later call passes a thread clock, and
+    /// clocks only advance). The horizon is only computed once the
+    /// controller's watermark is reached.
+    fn pm_write(&mut self, now: Cycles, cl: Addr) -> PmWriteTicket {
+        let ticket = self.pm.write(now, cl);
+        let threads = &self.threads;
+        self.pm.gc_inflight(|| min_clock(threads, now));
+        ticket
+    }
+
+    /// [`Machine::pm_write`] for the DRAM channel: returns
+    /// `(accept, readable_at)`.
+    fn dram_write(&mut self, now: Cycles, cl: Addr) -> (Cycles, Cycles) {
+        let times = self.dram.write(now, cl);
+        let threads = &self.threads;
+        self.dram.gc_inflight(|| min_clock(threads, now));
+        times
     }
 
     /// Decides how a PM read is ordered behind an in-flight persist: reads
     /// separated from the flush only by `sfence`s wait for the WPQ drain;
     /// reads ordered by an `mfence` wait out the whole pipeline, as do
     /// reads after non-temporal stores.
-    /// Returns `true` if `recent_flush` could hold `key` — a cheap range
-    /// check against the conservative key bounds, so streaming access
-    /// patterns never walk the map for provably absent keys.
-    #[inline]
-    fn recent_flush_may_contain(&self, key: u64) -> bool {
-        match self.flush_key_bounds {
-            Some((lo, hi)) => (lo..=hi).contains(&key),
-            None => false,
-        }
-    }
-
-    /// Records `key` into the `recent_flush` bounds.
-    #[inline]
-    fn widen_flush_key_bounds(&mut self, key: u64) {
-        self.flush_key_bounds = Some(match self.flush_key_bounds {
-            Some((lo, hi)) => (lo.min(key), hi.max(key)),
-            None => (key, key),
-        });
-    }
-
     fn persist_wait_for(&self, tid: ThreadId, cl: Addr) -> PersistWait {
-        if self.flushes_in_recent == 0 || !self.recent_flush_may_contain(cl.0) {
-            return PersistWait::Full;
-        }
-        match self.recent_flush.get(&cl.0) {
-            Some(rec) if rec.was_flush && rec.issued > self.threads[tid.0].last_mfence => {
-                PersistWait::Drain
-            }
+        match self.recent_flush.get(cl.0) {
+            Some(&issued) if issued > self.threads[tid.0].last_mfence => PersistWait::Drain,
             _ => PersistWait::Full,
         }
     }
@@ -561,17 +536,13 @@ impl Machine {
     /// `mfence`-ordered behind a very recent invalidating flush can still
     /// be served from the pre-invalidation cached copy.
     fn load_bypasses_flush(&self, tid: ThreadId, cl: Addr, now: Cycles) -> bool {
-        if !self.cfg.sfence_load_bypass
-            || self.flushes_in_recent == 0
-            || !self.recent_flush_may_contain(cl.0)
-        {
+        if !self.cfg.sfence_load_bypass {
             return false;
         }
-        match self.recent_flush.get(&cl.0) {
-            Some(rec) => {
-                rec.was_flush
-                    && rec.issued > self.threads[tid.0].last_mfence
-                    && now < rec.issued + self.cfg.load_bypass_window
+        match self.recent_flush.get(cl.0) {
+            Some(&issued) => {
+                issued > self.threads[tid.0].last_mfence
+                    && now < issued + self.cfg.load_bypass_window
             }
             None => false,
         }
@@ -593,7 +564,7 @@ impl Machine {
             HitLevel::Miss => {
                 // In-flight fill (e.g. from a prefetch): wait for it
                 // instead of issuing a second memory read.
-                let fill = self.inflight_fills.get(&cl.0).copied().filter(|&d| d > now);
+                let fill = self.inflight_fills.get(cl.0).copied().filter(|&d| d > now);
                 match fill {
                     Some(done) => (done - now).max(self.cfg.cache.l1_latency),
                     None => {
@@ -616,7 +587,7 @@ impl Machine {
                     .expect("hit level has a latency");
                 // A prefetched line may be resident (metadata) but still in
                 // flight; pay the remaining fill time.
-                match self.inflight_fills.get(&cl.0).copied().filter(|&d| d > now) {
+                match self.inflight_fills.get(cl.0).copied().filter(|&d| d > now) {
                     Some(done) => base.max(done - now),
                     None => base,
                 }
@@ -817,17 +788,15 @@ impl Machine {
             self.caches[socket].flush(cl, FlushMode::Invalidate);
             match self.region_of(cl) {
                 MemRegion::Pm => {
-                    let ticket = self.pm.write(now, cl);
+                    let ticket = self.pm_write(now, cl);
                     max_accept = max_accept.max(ticket.accept + remote_extra);
                     // An nt-store supersedes any earlier flush record for
                     // the line (no load bypass, full persist wait — the
                     // same as having no record at all).
-                    if self.flushes_in_recent > 0 && self.recent_flush.remove(&cl.0).is_some() {
-                        self.flushes_in_recent -= 1;
-                    }
+                    self.recent_flush.remove(cl.0);
                 }
                 MemRegion::Dram => {
-                    let (accept, _) = self.dram.write(now, cl);
+                    let (accept, _) = self.dram_write(now, cl);
                     max_accept = max_accept.max(accept + remote_extra);
                 }
             }
@@ -850,7 +819,7 @@ impl Machine {
                     // very bytes the store overwrites).
                     for (i, cl) in simbase::addr::cachelines_covering(addr, len).enumerate() {
                         self.fault_stats.wpq_accepts += 1;
-                        self.overlay.remove(&cl.0);
+                        self.overlay.remove(cl.0);
                         self.persistent
                             .write(cl, &data[i * CACHELINE_BYTES as usize..][..64]);
                     }
@@ -907,14 +876,12 @@ impl Machine {
             self.caches[socket].flush(cl, FlushMode::Invalidate);
             match self.region_of(cl) {
                 MemRegion::Pm => {
-                    let ticket = self.pm.write(now, cl);
+                    let ticket = self.pm_write(now, cl);
                     max_accept = max_accept.max(ticket.accept + remote_extra);
-                    if self.flushes_in_recent > 0 && self.recent_flush.remove(&cl.0).is_some() {
-                        self.flushes_in_recent -= 1;
-                    }
+                    self.recent_flush.remove(cl.0);
                     if fast_persist {
                         self.fault_stats.wpq_accepts += 1;
-                        self.overlay.remove(&cl.0);
+                        self.overlay.remove(cl.0);
                         self.persistent.write(cl, line);
                     } else {
                         self.overlay_write(cl, line);
@@ -922,7 +889,7 @@ impl Machine {
                     }
                 }
                 MemRegion::Dram => {
-                    let (accept, _) = self.dram.write(now, cl);
+                    let (accept, _) = self.dram_write(now, cl);
                     max_accept = max_accept.max(accept + remote_extra);
                     self.dram_image.write(cl, line);
                 }
@@ -934,7 +901,6 @@ impl Machine {
         t.outstanding_accept = t.outstanding_accept.max(max_accept);
         t.sb_push(count);
         self.demand.add_write(CACHELINE_BYTES * count);
-        self.gc_pm_inflight();
     }
 
     /// Batched touch loads: performs a `u64` demand load at the base of
@@ -971,10 +937,10 @@ impl Machine {
     /// Batched `clflushopt` over `count` consecutive cachelines.
     ///
     /// Equivalent to `count` [`Machine::clflushopt`] calls, with the
-    /// per-line constants hoisted; the transient-map garbage-collection
-    /// check runs once per run instead of once per line (observable only
-    /// past the GC threshold, where the collection point shifts to the
-    /// end of the run).
+    /// per-line constants hoisted; the `recent_flush` size check runs
+    /// once per run instead of once per line (observable only past
+    /// `MAP_GC_THRESHOLD`, where the drop point shifts to the end of the
+    /// run).
     ///
     /// # Panics
     ///
@@ -1006,26 +972,16 @@ impl Machine {
             if dirty {
                 match self.region_of(cl) {
                     MemRegion::Pm => {
-                        let ticket = self.pm.write(now, cl);
+                        let ticket = self.pm_write(now, cl);
                         accept = Some(ticket.accept + remote_extra);
                         self.persist_accept(cl);
                     }
                     MemRegion::Dram => {
-                        let (a, _) = self.dram.write(now, cl);
+                        let (a, _) = self.dram_write(now, cl);
                         accept = Some(a + remote_extra);
                     }
                 }
-                let prev = self.recent_flush.insert(
-                    cl.0,
-                    FlushRecord {
-                        issued: now,
-                        was_flush: true,
-                    },
-                );
-                if prev.is_none() {
-                    self.flushes_in_recent += 1;
-                }
-                self.widen_flush_key_bounds(cl.0);
+                self.recent_flush.insert(cl.0, now);
             }
             let t = &mut self.threads[tid.0];
             t.clock.advance(issue);
@@ -1035,7 +991,6 @@ impl Machine {
             }
         }
         self.gc_recent_flush();
-        self.gc_pm_inflight();
     }
 
     /// `clwb`: writes back the cacheline containing `addr` if dirty. On G1
@@ -1081,27 +1036,17 @@ impl Machine {
         if dirty {
             match self.region_of(cl) {
                 MemRegion::Pm => {
-                    let ticket = self.pm.write(now, cl);
+                    let ticket = self.pm_write(now, cl);
                     accept = Some(ticket.accept + self.remote_write_extra(socket));
                     self.persist_accept(cl);
                 }
                 MemRegion::Dram => {
-                    let (a, _) = self.dram.write(now, cl);
+                    let (a, _) = self.dram_write(now, cl);
                     accept = Some(a + self.remote_write_extra(socket));
                 }
             }
             if mode == FlushMode::Invalidate {
-                let prev = self.recent_flush.insert(
-                    cl.0,
-                    FlushRecord {
-                        issued: now,
-                        was_flush: true,
-                    },
-                );
-                if prev.is_none() {
-                    self.flushes_in_recent += 1;
-                }
-                self.widen_flush_key_bounds(cl.0);
+                self.recent_flush.insert(cl.0, now);
             }
         }
         let issue = self.cfg.flush_issue + self.ht_extra(socket, core);
@@ -1117,8 +1062,6 @@ impl Machine {
     fn gc_recent_flush(&mut self) {
         if self.recent_flush.len() >= MAP_GC_THRESHOLD {
             self.recent_flush.clear();
-            self.flushes_in_recent = 0;
-            self.flush_key_bounds = None;
         }
     }
 
@@ -1424,8 +1367,6 @@ impl Machine {
         self.inflight_fills.clear();
         self.inflight_gc_watermark = INFLIGHT_GC_MIN;
         self.recent_flush.clear();
-        self.flushes_in_recent = 0;
-        self.flush_key_bounds = None;
         for t in &mut self.threads {
             t.outstanding_accept = 0;
             // Power loss empties the store buffers without completing an
@@ -1444,17 +1385,15 @@ impl Machine {
             .collect();
         // Flush overlay contents into the persistent image so functional
         // state is preserved across the reset.
-        let entries: Vec<u64> = self.overlay.keys().copied().collect();
-        for cl in entries {
-            self.apply_persist(Addr(cl));
+        for (cl, bytes) in self.overlay.iter() {
+            self.persistent.write(Addr(cl), bytes);
         }
+        self.overlay.clear();
         self.pm.reset_all();
         self.dram.reset_all();
         self.inflight_fills.clear();
         self.inflight_gc_watermark = INFLIGHT_GC_MIN;
         self.recent_flush.clear();
-        self.flushes_in_recent = 0;
-        self.flush_key_bounds = None;
         self.demand.reset();
         self.metrics_baseline = MachineMetrics::default();
         for t in &mut self.threads {
@@ -1578,7 +1517,7 @@ impl Machine {
     pub fn poison_line(&mut self, addr: Addr) {
         let cl = addr.cacheline();
         self.pm.poison_line(cl);
-        self.overlay.remove(&cl.0);
+        self.overlay.remove(cl.0);
         self.persistent.write(cl, &[POISON_FILL; 64]);
     }
 
@@ -1613,7 +1552,7 @@ impl Machine {
     pub fn scrub_pm(&mut self, start: Addr, len: u64) -> ScrubOutcome {
         let repaired = self.pm.scrub_range(start, len);
         for &cl in &repaired {
-            self.overlay.remove(&cl);
+            self.overlay.remove(cl);
             self.persistent.write(Addr(cl), &[0u8; 64]);
         }
         ScrubOutcome {
@@ -1627,12 +1566,12 @@ impl Machine {
     /// domain. Every subset of the uncertain set surviving is a legal
     /// post-crash state at this instant (see [`CrashImage`]).
     pub fn capture_crash_image(&self) -> CrashImage {
-        // BTreeMap iteration is already address-ordered, so the uncertain
+        // LineTable iteration is already address-ordered, so the uncertain
         // set has a canonical encoding without an explicit sort.
         let uncertain: Vec<(u64, [u8; 64])> = self
             .overlay
             .iter()
-            .map(|(&cl, &bytes)| (cl, bytes))
+            .map(|(cl, &bytes)| (cl, bytes))
             .collect();
         CrashImage {
             cfg: self.cfg.clone(),
@@ -1714,6 +1653,38 @@ mod tests {
         let a = m.alloc_pm(64, 64);
         m.store_u64(t, a, 0xFEED_FACE);
         assert_eq!(m.load_u64(t, a), 0xFEED_FACE);
+    }
+
+    #[test]
+    fn functional_reads_merge_overlay_lines_over_the_image() {
+        let mut m = g1();
+        let t = m.spawn(0);
+        let a = m.alloc_pm(192, 64);
+        let image: Vec<u8> = (0..192u8).collect();
+        m.poke_persistent(a, &image);
+        // Overlay only the middle line, partially.
+        m.store(t, a.add(64 + 8), &[0xAA; 16]);
+        let mut expect = image.clone();
+        expect[72..88].fill(0xAA);
+        for (start, len) in [
+            (0, 192),
+            (70, 20),
+            (64, 64),
+            (72, 16),
+            (60, 8),
+            (120, 16),
+            (130, 8),
+        ] {
+            let mut buf = vec![0u8; len];
+            m.peek(a.add(start as u64), &mut buf);
+            assert_eq!(buf, expect[start..start + len], "peek({start}, {len})");
+        }
+        // Persisting the line leaves the image as the only source.
+        m.clwb(t, a.add(64));
+        m.sfence(t);
+        let mut buf = vec![0u8; 192];
+        m.peek(a, &mut buf);
+        assert_eq!(buf, expect);
     }
 
     #[test]

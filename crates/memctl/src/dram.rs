@@ -1,8 +1,6 @@
 //! The DRAM (DDR4) channel: the paper's synchronous comparison substrate.
 
-use std::collections::BTreeMap;
-
-use simbase::{Addr, ByteCounter, Cycles, ServerPool, CACHELINE_BYTES};
+use simbase::{Addr, ByteCounter, Cycles, LineTable, ServerPool, CACHELINE_BYTES};
 
 /// DRAM channel configuration.
 #[derive(Debug, Clone)]
@@ -33,9 +31,8 @@ impl Default for DramParams {
     }
 }
 
-/// How many in-flight persist records to tolerate before garbage
-/// collecting completed ones.
-const INFLIGHT_GC_THRESHOLD: usize = 1 << 20;
+/// Smallest `inflight` population worth garbage-collecting.
+const INFLIGHT_GC_MIN: usize = 1 << 10;
 
 /// One socket's DRAM controller.
 #[derive(Debug)]
@@ -44,7 +41,11 @@ pub struct DramController {
     channels: ServerPool,
     counters: ByteCounter,
     /// Cacheline address -> time the last flushed write becomes readable.
-    inflight: BTreeMap<u64, Cycles>,
+    /// Only [`DramController::gc_inflight`] prunes it.
+    inflight: LineTable<Cycles>,
+    /// Size at which the next [`DramController::gc_inflight`] call
+    /// actually walks the table (doubles with the surviving population).
+    gc_watermark: usize,
 }
 
 impl DramController {
@@ -55,7 +56,8 @@ impl DramController {
             params,
             channels,
             counters: ByteCounter::new(),
-            inflight: BTreeMap::new(),
+            inflight: LineTable::new(),
+            gc_watermark: INFLIGHT_GC_MIN,
         }
     }
 
@@ -63,7 +65,7 @@ impl DramController {
     pub fn read(&mut self, now: Cycles, addr: Addr) -> Cycles {
         self.counters.add_read(CACHELINE_BYTES);
         let cl = addr.cacheline().0;
-        let start = match self.inflight.get(&cl) {
+        let start = match self.inflight.get(cl) {
             Some(&readable) if readable > now => readable,
             _ => now,
         };
@@ -79,12 +81,24 @@ impl DramController {
         let accept = queued + self.params.store_latency;
         let readable_at = accept + self.params.persist_pipeline;
         let cl = addr.cacheline().0;
-        let entry = self.inflight.entry(cl).or_insert(0);
+        let entry = self.inflight.get_or_insert_with(cl, || 0);
         *entry = (*entry).max(readable_at);
-        if self.inflight.len() >= INFLIGHT_GC_THRESHOLD {
-            self.inflight.retain(|_, &mut readable| readable > now);
-        }
         (accept, readable_at)
+    }
+
+    /// Drops in-flight write records readable by `horizon`, under the same
+    /// contract as [`crate::PmController::gc_inflight`]: every timestamp
+    /// later passed to [`DramController::read`] or
+    /// [`DramController::write`] must be `>= horizon`, which makes a
+    /// collected record indistinguishable from an absent one. `horizon` is
+    /// only evaluated once the table outgrows a doubling watermark.
+    pub fn gc_inflight(&mut self, horizon: impl FnOnce() -> Cycles) {
+        if self.inflight.len() < self.gc_watermark {
+            return;
+        }
+        let horizon = horizon();
+        self.inflight.retain(|_, &mut readable| readable > horizon);
+        self.gc_watermark = (self.inflight.len() * 2).max(INFLIGHT_GC_MIN);
     }
 
     /// Returns the channel byte counters.
@@ -102,6 +116,7 @@ impl DramController {
         self.counters.reset();
         self.channels.reset();
         self.inflight.clear();
+        self.gc_watermark = INFLIGHT_GC_MIN;
     }
 }
 
@@ -124,6 +139,23 @@ mod tests {
         assert!(done >= readable);
         // Persist window is far shorter than the PM one.
         assert!(readable - accept < 500);
+    }
+
+    #[test]
+    fn lagging_reader_keeps_its_persist_barrier_under_write_pressure() {
+        // As for the PM controller: a fast writer past the record's
+        // `readable_at` floods 2^20 lines while collection is offered at
+        // the min over both clocks. The record must survive for the
+        // lagging thread (whose read would here queue behind the flood's
+        // channel occupancy anyway, so the record itself is checked).
+        let mut d = DramController::new(DramParams::default());
+        let (accept, readable) = d.write(0, Addr(0));
+        let fast_now = readable + 1_000_000;
+        for i in 1..=(1u64 << 20) {
+            d.write(fast_now, Addr(i * CACHELINE_BYTES));
+            d.gc_inflight(|| accept);
+        }
+        assert_eq!(d.inflight.get(0), Some(&readable));
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! The persistent-memory side of the iMC: WPQ, interleaving, counters.
 
-use std::collections::BTreeMap;
-
-use simbase::{Addr, BandwidthGate, ByteCounter, Cycles, QueueStats, CACHELINE_BYTES};
+use simbase::{Addr, BandwidthGate, ByteCounter, Cycles, LineTable, QueueStats, CACHELINE_BYTES};
 use xpdimm::{DimmController, DimmParams, DimmStats, ReadSource};
 
 /// Configuration of the PM channel: DIMM population, interleaving, WPQ.
@@ -76,10 +74,6 @@ pub struct PmWriteTicket {
     pub readable_at: Cycles,
 }
 
-/// How many in-flight persist records to tolerate before garbage
-/// collecting completed ones.
-const INFLIGHT_GC_THRESHOLD: usize = 1 << 20;
-
 /// Occupancy of one DIMM's iMC queues (the `ipmwatch` RPQ/WPQ view).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ImcQueueStats {
@@ -139,8 +133,10 @@ pub struct PmController {
     rpq: Vec<RpqTracker>,
     imc: Vec<ByteCounter>,
     /// Cacheline address -> `(drained, readable_at)` of the last accepted
-    /// write.
-    inflight: BTreeMap<u64, (Cycles, Cycles)>,
+    /// write. Only [`PmController::gc_inflight`] prunes it: whether a
+    /// record can go depends on every caller's clock, which only the
+    /// caller knows.
+    inflight: LineTable<(Cycles, Cycles)>,
     /// Size at which the next [`PmController::gc_inflight`] call actually
     /// walks the map (amortized: doubles with the surviving population).
     gc_watermark: usize,
@@ -175,7 +171,7 @@ impl PmController {
             wpq,
             rpq,
             imc,
-            inflight: BTreeMap::new(),
+            inflight: LineTable::new(),
             gc_watermark: INFLIGHT_GC_MIN,
         }
     }
@@ -199,7 +195,7 @@ impl PmController {
         let d = self.dimm_of(addr);
         self.imc[d].add_read(CACHELINE_BYTES);
         let cl = addr.cacheline().0;
-        let start = match self.inflight.get(&cl) {
+        let start = match self.inflight.get(cl) {
             Some(&(drained, readable)) => {
                 let barrier = match wait {
                     PersistWait::Full => readable,
@@ -225,20 +221,13 @@ impl PmController {
         let drained = accept + self.params.drain_visible;
         let readable_at = accept + self.params.persist_pipeline;
         let cl = addr.cacheline().0;
-        let entry = self.inflight.entry(cl).or_insert((0, 0));
+        let entry = self.inflight.get_or_insert_with(cl, || (0, 0));
         entry.0 = entry.0.max(drained);
         entry.1 = entry.1.max(readable_at);
-        self.maybe_gc(now);
         PmWriteTicket {
             accept,
             drained,
             readable_at,
-        }
-    }
-
-    fn maybe_gc(&mut self, now: Cycles) {
-        if self.inflight.len() >= INFLIGHT_GC_THRESHOLD {
-            self.inflight.retain(|_, &mut (_, readable)| readable > now);
         }
     }
 
@@ -253,12 +242,14 @@ impl PmController {
     /// = now`, write merges take the fresh (larger) timestamps, and
     /// `undrained_lines` filters it out — so collecting it cannot change
     /// any result. Amortized: the walk only runs once the map outgrows a
-    /// doubling watermark, so long write phases don't leave a large map
-    /// taxing every subsequent read's lookup.
-    pub fn gc_inflight(&mut self, horizon: Cycles) {
+    /// doubling watermark, which bounds the table's memory over a long
+    /// write phase. `horizon` is only evaluated when the walk runs, so callers may
+    /// offer a collection after every write.
+    pub fn gc_inflight(&mut self, horizon: impl FnOnce() -> Cycles) {
         if self.inflight.len() < self.gc_watermark {
             return;
         }
+        let horizon = horizon();
         self.inflight
             .retain(|_, &mut (drained, readable)| drained.max(readable) > horizon);
         self.gc_watermark = (self.inflight.len() * 2).max(INFLIGHT_GC_MIN);
@@ -271,14 +262,11 @@ impl PmController {
     /// power failure these are the writes a WPQ partial-drain fault can
     /// interrupt mid-flight.
     pub fn undrained_lines(&self, now: Cycles) -> Vec<u64> {
-        let mut lines: Vec<u64> = self
-            .inflight
+        self.inflight
             .iter()
             .filter(|&(_, &(drained, _))| drained > now)
-            .map(|(&cl, _)| cl)
-            .collect();
-        lines.sort_unstable();
-        lines
+            .map(|(cl, _)| cl)
+            .collect()
     }
 
     /// Returns the XPLines resident in the on-DIMM write-combining
@@ -571,6 +559,30 @@ mod tests {
         assert_eq!(c.undrained_lines(0), vec![0, 128]);
         // After the drain-visible window both writes have left the WPQ.
         assert!(c.undrained_lines(t.drained + 10_000).is_empty());
+    }
+
+    #[test]
+    fn lagging_reader_keeps_its_persist_barrier_under_write_pressure() {
+        // Two threads with clocks on either side of one in-flight record:
+        // the fast one is past its `readable_at`, the lagging one is not.
+        let mut c = pm(1);
+        let rec = c.write(0, Addr(0));
+        let slow_now = rec.accept;
+        let fast_now = rec.readable_at + 1_000_000;
+        // The fast thread floods the table with 2^20 distinct lines while
+        // collection is offered at the min over both clocks, as the
+        // machine does. Pruning by the writer's own clock would drop the
+        // record here.
+        for i in 1..=(1u64 << 20) {
+            c.write(fast_now, Addr(i * CACHELINE_BYTES));
+            c.gc_inflight(|| slow_now.min(fast_now));
+        }
+        let (done, _) = c.read(slow_now, Addr(0), PersistWait::Full);
+        assert!(
+            done >= rec.readable_at,
+            "the lagging read still waits out the persist: {done} < {}",
+            rec.readable_at
+        );
     }
 
     #[test]

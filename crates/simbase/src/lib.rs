@@ -7,6 +7,8 @@
 //!   the whole study revolves around (64 B cachelines vs. 256 B 3D-XPoint
 //!   media lines),
 //! - [`clock`]: simulated time in CPU cycles,
+//! - [`linetable`]: dense, address-ordered per-cacheline maps for the
+//!   records the access path consults on every simulated load and store,
 //! - [`rng`]: a deterministic SplitMix64 generator so every experiment is
 //!   bit-reproducible,
 //! - [`resource`]: server-queue primitives used to model contention on
@@ -18,6 +20,7 @@
 
 pub mod addr;
 pub mod clock;
+pub mod linetable;
 pub mod resource;
 pub mod rng;
 pub mod stats;
@@ -25,6 +28,7 @@ pub mod wire;
 
 pub use addr::{Addr, CACHELINES_PER_XPLINE, CACHELINE_BYTES, XPLINE_BYTES};
 pub use clock::Cycles;
+pub use linetable::LineTable;
 pub use resource::{BandwidthGate, QueueStats, Server, ServerPool};
 pub use rng::SplitMix64;
 pub use stats::{ByteCounter, Counter, HitMiss, LatencyStats};
