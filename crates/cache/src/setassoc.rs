@@ -13,21 +13,52 @@
 
 use simbase::{Addr, HitMiss, CACHELINE_BYTES};
 
-/// Metadata for one resident cacheline slot.
+/// Metadata for one cacheline slot, packed into 16 bytes so an 8-way L1
+/// set is 128 bytes: two host cachelines' worth rather than three.
+///
+/// `meta` is `tag << 2 | dirty << 1 | valid`: a lookup compares one word
+/// against `tag << 2 | 1` and ignores the dirty bit. An empty slot is all
+/// zero, so a fresh slot table is a zeroed allocation the host maps
+/// lazily.
 #[derive(Debug, Clone, Copy)]
 struct Line {
-    tag: u64,
+    meta: u64,
     last_use: u64,
-    dirty: bool,
-    valid: bool,
 }
 
+const VALID: u64 = 1;
+const DIRTY: u64 = 2;
+/// Bits below the tag in [`Line::meta`].
+const FLAG_BITS: u32 = 2;
+
 const EMPTY_LINE: Line = Line {
-    tag: 0,
+    meta: 0,
     last_use: 0,
-    dirty: false,
-    valid: false,
 };
+
+impl Line {
+    #[inline]
+    fn valid(self) -> bool {
+        self.meta & VALID != 0
+    }
+
+    #[inline]
+    fn dirty(self) -> bool {
+        self.meta & DIRTY != 0
+    }
+
+    #[inline]
+    fn tag(self) -> u64 {
+        self.meta >> FLAG_BITS
+    }
+}
+
+/// The `meta` word of a valid, clean line holding `tag`; compare with
+/// `meta & !DIRTY`.
+#[inline]
+fn key_of(tag: u64) -> u64 {
+    tag << FLAG_BITS | VALID
+}
 
 /// A line evicted to make room.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,6 +102,10 @@ impl Cache {
         let lines = capacity_bytes / CACHELINE_BYTES;
         let num_sets = (lines / ways as u64).max(1) as usize;
         assert!(lines >= ways as u64, "capacity smaller than one set");
+        assert!(
+            u64::MAX / CACHELINE_BYTES / num_sets as u64 <= u64::MAX >> FLAG_BITS,
+            "the largest tag must fit beside the flag bits"
+        );
         Cache {
             slots: vec![EMPTY_LINE; num_sets * ways],
             num_sets,
@@ -109,13 +144,14 @@ impl Cache {
         self.tick += 1;
         let (set_idx, tag) = self.set_and_tag(addr);
         let tick = self.tick;
+        let key = key_of(tag);
         if let Some(l) = self
             .set_slots(set_idx)
             .iter_mut()
-            .find(|l| l.valid && l.tag == tag)
+            .find(|l| l.meta & !DIRTY == key)
         {
             l.last_use = tick;
-            l.dirty |= mark_dirty;
+            l.meta |= if mark_dirty { DIRTY } else { 0 };
             self.hits += 1;
             true
         } else {
@@ -127,9 +163,10 @@ impl Cache {
     /// Returns `true` if `addr` is resident, without touching LRU or stats.
     pub fn peek(&self, addr: Addr) -> bool {
         let (set_idx, tag) = self.set_and_tag(addr);
+        let key = key_of(tag);
         self.slots[set_idx * self.ways..(set_idx + 1) * self.ways]
             .iter()
-            .any(|l| l.valid && l.tag == tag)
+            .any(|l| l.meta & !DIRTY == key)
     }
 
     /// Inserts `addr` (refreshing it if already resident), returning the
@@ -139,21 +176,23 @@ impl Cache {
         let (set_idx, tag) = self.set_and_tag(addr);
         let tick = self.tick;
         let num_sets = self.num_sets as u64;
+        let key = key_of(tag);
+        let dirty_bit = if dirty { DIRTY } else { 0 };
         let set = self.set_slots(set_idx);
         // One pass: find the resident line, a free slot, and the LRU victim.
         let mut free = None;
         let mut victim = None;
         let mut victim_use = u64::MAX;
         for (i, l) in set.iter_mut().enumerate() {
-            if !l.valid {
+            if !l.valid() {
                 if free.is_none() {
                     free = Some(i);
                 }
                 continue;
             }
-            if l.tag == tag {
+            if l.meta & !DIRTY == key {
                 l.last_use = tick;
-                l.dirty |= dirty;
+                l.meta |= dirty_bit;
                 return None;
             }
             // LRU timestamps are unique (each touch consumes a fresh tick),
@@ -164,10 +203,8 @@ impl Cache {
             }
         }
         let fresh = Line {
-            tag,
+            meta: key | dirty_bit,
             last_use: tick,
-            dirty,
-            valid: true,
         };
         if let Some(i) = free {
             set[i] = fresh;
@@ -178,10 +215,10 @@ impl Cache {
         let victim_idx = victim?;
         let v = set[victim_idx];
         set[victim_idx] = fresh;
-        let line_no = v.tag * num_sets + set_idx as u64;
+        let line_no = v.tag() * num_sets + set_idx as u64;
         Some(Evicted {
             addr: Addr(line_no * CACHELINE_BYTES),
-            dirty: v.dirty,
+            dirty: v.dirty(),
         })
     }
 
@@ -191,11 +228,12 @@ impl Cache {
             return None;
         }
         let (set_idx, tag) = self.set_and_tag(addr);
+        let key = key_of(tag);
         let l = self
             .set_slots(set_idx)
             .iter_mut()
-            .find(|l| l.valid && l.tag == tag)?;
-        let dirty = l.dirty;
+            .find(|l| l.meta & !DIRTY == key)?;
+        let dirty = l.dirty();
         *l = EMPTY_LINE;
         self.live -= 1;
         Some(dirty)
@@ -208,12 +246,13 @@ impl Cache {
             return None;
         }
         let (set_idx, tag) = self.set_and_tag(addr);
+        let key = key_of(tag);
         let l = self
             .set_slots(set_idx)
             .iter_mut()
-            .find(|l| l.valid && l.tag == tag)?;
-        let was = l.dirty;
-        l.dirty = false;
+            .find(|l| l.meta & !DIRTY == key)?;
+        let was = l.dirty();
+        l.meta &= !DIRTY;
         Some(was)
     }
 
@@ -229,10 +268,10 @@ impl Cache {
             return dirty;
         }
         for (slot_idx, l) in self.slots.iter_mut().enumerate() {
-            if l.valid {
-                if l.dirty {
+            if l.valid() {
+                if l.dirty() {
                     let set_idx = (slot_idx / ways) as u64;
-                    let line_no = l.tag * num_sets + set_idx;
+                    let line_no = l.tag() * num_sets + set_idx;
                     dirty.push(Addr(line_no * CACHELINE_BYTES));
                 }
                 *l = EMPTY_LINE;

@@ -250,12 +250,17 @@ impl CacheSystem {
         }
         let l2_miss = matches!(level, HitLevel::L3 | HitLevel::Miss);
         let suggestions = self.cores[core].pf.on_demand_access(addr, l2_miss);
-        let mut prefetch = SuggestionList::new();
-        for &a in suggestions.as_slice() {
-            if self.contains(core, a).is_none() {
-                prefetch.push(a);
+        let prefetch = if suggestions.is_empty() {
+            suggestions
+        } else {
+            let mut kept = SuggestionList::new();
+            for &a in suggestions.as_slice() {
+                if self.contains(core, a).is_none() {
+                    kept.push(a);
+                }
             }
-        }
+            kept
+        };
         AccessResult {
             level,
             writebacks,

@@ -109,11 +109,9 @@ impl HwThread {
     }
 }
 
-/// Size at which `recent_flush` is dropped wholesale.
-const MAP_GC_THRESHOLD: usize = 1 << 20;
-
-/// Smallest `inflight_fills` length that triggers a prune sweep.
-const INFLIGHT_GC_MIN: usize = 1 << 10;
+/// Smallest `inflight_fills` or `recent_flush` length that triggers a
+/// prune sweep.
+const GC_WATERMARK_MIN: usize = 1 << 10;
 
 /// Issue cost of one 512-bit streaming (AVX) load in the paper's
 /// Algorithm 2 copy loop.
@@ -159,6 +157,10 @@ pub struct Machine {
     /// *every* thread's clock are dropped, which no lookup can
     /// distinguish from presence (they all filter on `done > now`).
     inflight_gc_watermark: usize,
+    /// Prune `recent_flush` when it reaches this length, by the same
+    /// doubling rule; only records no thread can tell from absent ones
+    /// are dropped (see [`Machine::gc_recent_flush`]).
+    recent_flush_gc_watermark: usize,
     demand: ByteCounter,
     pm_next: u64,
     dram_next: u64,
@@ -211,7 +213,8 @@ impl Machine {
             next_core: vec![0; 2],
             inflight_fills: LineTable::new(),
             recent_flush: LineTable::new(),
-            inflight_gc_watermark: INFLIGHT_GC_MIN,
+            inflight_gc_watermark: GC_WATERMARK_MIN,
+            recent_flush_gc_watermark: GC_WATERMARK_MIN,
             demand: ByteCounter::new(),
             pm_next: PM_BASE,
             dram_next: DRAM_BASE,
@@ -495,7 +498,7 @@ impl Machine {
             // absent one for every thread, forever (clocks only advance).
             let horizon = min_clock(&self.threads, now);
             self.inflight_fills.retain(|_, &mut done| done > horizon);
-            self.inflight_gc_watermark = (self.inflight_fills.len() * 2).max(INFLIGHT_GC_MIN);
+            self.inflight_gc_watermark = (self.inflight_fills.len() * 2).max(GC_WATERMARK_MIN);
         }
     }
 
@@ -595,8 +598,9 @@ impl Machine {
         };
         latency += self.ht_extra(socket, core);
         self.handle_writebacks(now, &res.writebacks);
-        let prefetch = res.prefetch;
-        self.issue_prefetches(socket, core, now, &prefetch);
+        if !res.prefetch.is_empty() {
+            self.issue_prefetches(socket, core, now, &res.prefetch);
+        }
         latency
     }
 
@@ -614,10 +618,14 @@ impl Machine {
                 at: self.threads[tid.0].clock.now(),
             });
         }
-        let mut total = 0;
-        for cl in simbase::addr::cachelines_covering(addr, len) {
-            total += self.access_line(tid, cl, false);
-        }
+        // Nearly every load (a `u64` field, a key) sits in one line.
+        let total = if len > 0 && addr.0 % CACHELINE_BYTES + len <= CACHELINE_BYTES {
+            self.access_line(tid, addr.cacheline(), false)
+        } else {
+            simbase::addr::cachelines_covering(addr, len)
+                .map(|cl| self.access_line(tid, cl, false))
+                .sum()
+        };
         self.threads[tid.0].clock.advance(total);
         self.demand.add_read(len);
         self.functional_read(addr, buf);
@@ -937,10 +945,9 @@ impl Machine {
     /// Batched `clflushopt` over `count` consecutive cachelines.
     ///
     /// Equivalent to `count` [`Machine::clflushopt`] calls, with the
-    /// per-line constants hoisted; the `recent_flush` size check runs
-    /// once per run instead of once per line (observable only past
-    /// `MAP_GC_THRESHOLD`, where the drop point shifts to the end of the
-    /// run).
+    /// per-line constants hoisted; the `recent_flush` prune check runs
+    /// once per run instead of once per line (unobservable: the prune
+    /// only drops records that act like absent ones).
     ///
     /// # Panics
     ///
@@ -1059,9 +1066,25 @@ impl Machine {
         self.gc_recent_flush();
     }
 
+    /// Prunes `recent_flush` once it reaches its watermark. Every reader
+    /// asks only whether `issued > last_mfence` of the reading thread,
+    /// and a thread's `last_mfence` only grows, so a record issued at or
+    /// before every thread's last `mfence` acts exactly like an absent
+    /// one, forever. Those are the only records dropped: any other may
+    /// still pick some thread's [`PersistWait::Drain`] or sfence load
+    /// bypass. As with the `inflight_fills` horizon, "every thread" means
+    /// the threads that exist at the sweep: one spawned later starts with
+    /// its clock and `last_mfence` at 0.
     fn gc_recent_flush(&mut self) {
-        if self.recent_flush.len() >= MAP_GC_THRESHOLD {
-            self.recent_flush.clear();
+        if self.recent_flush.len() >= self.recent_flush_gc_watermark {
+            let horizon = self
+                .threads
+                .iter()
+                .map(|t| t.last_mfence)
+                .min()
+                .unwrap_or(0);
+            self.recent_flush.retain(|_, &mut issued| issued > horizon);
+            self.recent_flush_gc_watermark = (self.recent_flush.len() * 2).max(GC_WATERMARK_MIN);
         }
     }
 
@@ -1365,8 +1388,9 @@ impl Machine {
         self.pm.power_fail_flush(now);
         self.dram.reset_all();
         self.inflight_fills.clear();
-        self.inflight_gc_watermark = INFLIGHT_GC_MIN;
+        self.inflight_gc_watermark = GC_WATERMARK_MIN;
         self.recent_flush.clear();
+        self.recent_flush_gc_watermark = GC_WATERMARK_MIN;
         for t in &mut self.threads {
             t.outstanding_accept = 0;
             // Power loss empties the store buffers without completing an
@@ -1392,8 +1416,9 @@ impl Machine {
         self.pm.reset_all();
         self.dram.reset_all();
         self.inflight_fills.clear();
-        self.inflight_gc_watermark = INFLIGHT_GC_MIN;
+        self.inflight_gc_watermark = GC_WATERMARK_MIN;
         self.recent_flush.clear();
+        self.recent_flush_gc_watermark = GC_WATERMARK_MIN;
         self.demand.reset();
         self.metrics_baseline = MachineMetrics::default();
         for t in &mut self.threads {
@@ -1685,6 +1710,65 @@ mod tests {
         let mut buf = vec![0u8; 192];
         m.peek(a, &mut buf);
         assert_eq!(buf, expect);
+    }
+
+    /// Paper Algorithm 1 in steady state on thread `a` (store, `clwb`,
+    /// `sfence`, load the line flushed two iterations earlier) while
+    /// thread `b` idles; both issue an `mfence` first, so every flush
+    /// record picks the [`PersistWait::Drain`] wait. At iteration `plant`,
+    /// 2^20 dead records, issued exactly at the older of the two `mfence`s,
+    /// are added before the flush, so its prune check sweeps past both the
+    /// watermark and the size of the old wholesale clear. At iteration
+    /// `clear`, every record is dropped after the flush, as that clear did.
+    /// Returns the load latencies and the records left.
+    fn rap_after_mfence(plant: Option<u64>, clear: Option<u64>) -> (Vec<Cycles>, usize) {
+        let mut m = g1();
+        let (a, b) = (m.spawn(0), m.spawn(0));
+        let base = m.alloc_pm(4096, 4096);
+        let line = |i: u64| base.add((i % 64) * 64);
+        for i in 0..64 {
+            m.store_u64(a, line(i), i);
+            m.clwb(a, line(i));
+            m.sfence(a);
+        }
+        m.mfence(b);
+        m.mfence(a);
+        let horizon = m.threads[b.0].last_mfence;
+        let mut lats = Vec::new();
+        for i in 64..80 {
+            if plant == Some(i) {
+                for k in 0..1 << 20 {
+                    m.recent_flush.insert(DRAM_BASE + k * 64, horizon);
+                }
+            }
+            m.store_u64(a, line(i), i);
+            m.clwb(a, line(i));
+            m.sfence(a);
+            if clear == Some(i) {
+                m.recent_flush.clear();
+            }
+            let t0 = m.now(a);
+            assert_eq!(m.load_u64(a, line(i - 2)), i - 2);
+            lats.push(m.now(a) - t0);
+        }
+        assert_eq!(m.persist_wait_for(b, line(79)), PersistWait::Drain);
+        (lats, m.recent_flush.len())
+    }
+
+    #[test]
+    fn recent_flush_prune_keeps_records_that_still_pick_drain() {
+        let (base, left) = rap_after_mfence(None, None);
+        assert!(left <= 64, "{left} records");
+        // The sweep drops every planted record but no live one: the loads
+        // still wait only for the WPQ drain, cycle for cycle.
+        let (swept, left) = rap_after_mfence(Some(66), None);
+        assert_eq!(swept, base);
+        assert!(left <= 64, "{left} records survive the sweep");
+        // Dropping the live records too turns some of those waits into
+        // full persist waits.
+        let (cleared, _) = rap_after_mfence(None, Some(66));
+        assert_ne!(cleared, base);
+        assert!(cleared.iter().sum::<Cycles>() > base.iter().sum::<Cycles>());
     }
 
     #[test]

@@ -302,6 +302,9 @@ fn decode_store(r: &mut WireReader<'_>) -> Result<SparseStore, SnapshotError> {
     let mut s = SparseStore::new();
     for _ in 0..count {
         let n = r.get_u64()?;
+        if n > SparseStore::MAX_PAGE {
+            return Err(SnapshotError::Wire(WireError::ImplausibleLength(n)));
+        }
         let contents = r.get_bytes()?;
         if contents.len() as u64 != SparseStore::PAGE_BYTES {
             return Err(SnapshotError::Wire(WireError::ImplausibleLength(
@@ -487,6 +490,22 @@ mod tests {
             let r = MachineSnapshot::decode(&bytes[..cut]);
             assert!(r.is_err(), "cut at {cut} must fail");
         }
+    }
+
+    #[test]
+    fn page_number_beyond_the_address_space_is_a_typed_error() {
+        let mut bytes = sample().encode();
+        // The persistent image's one page (number 1) and its length prefix.
+        let page: Vec<u8> = [1u64, SparseStore::PAGE_BYTES]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        let at = bytes.windows(16).position(|w| w == page).unwrap();
+        bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            MachineSnapshot::decode(&bytes),
+            Err(SnapshotError::Wire(WireError::ImplausibleLength(u64::MAX)))
+        ));
     }
 
     #[test]
