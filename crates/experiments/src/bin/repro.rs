@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! repro [e0|e1|..|e9|e15|table1|mixes|pmcheck|faultsim|cluster|rebalance|bench|all] \
+//! repro [e0|e1|..|e9|e15|table1|mixes|pmcheck|faultsim|cluster|rebalance|all] \
 //!       [--full | --smoke] [--out DIR] [--gen g1|g2|both] \
 //!       [--parallel N] [--resume] [--deadline SECS] [--seed N] \
 //!       [--metrics PATH] [--sample-interval CYCLES] \
@@ -63,7 +63,7 @@ struct Options {
 
 fn usage() -> ! {
     println!(
-        "usage: repro [e0|e1|..|e9|e15|table1|mixes|pmcheck|faultsim|cluster|rebalance|bench|all] \
+        "usage: repro [e0|e1|..|e9|e15|table1|mixes|pmcheck|faultsim|cluster|rebalance|all] \
          [--full | --smoke] [--out DIR] [--gen g1|g2|both] [--parallel N] \
          [--resume] [--deadline SECS] [--seed N] [--metrics PATH] \
          [--sample-interval CYCLES] [--inject panic:JOB|hang:JOB]"

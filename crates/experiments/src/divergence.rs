@@ -31,7 +31,7 @@ use simlint::witness::{
 };
 
 use crate::common::MetricsSpec;
-use crate::{e0_bandwidth, e12_cluster, e13_rebalance, e14_simspeed, e15_mt, e3_write_amp};
+use crate::{e0_bandwidth, e12_cluster, e13_rebalance, e15_mt, e3_write_amp};
 
 /// The tap an experiment threads through its measurement loops: a shared
 /// op-stream hasher handed to every machine as its TraceSink, plus a
@@ -106,18 +106,25 @@ enum Experiment {
     E3,
     E12,
     E13,
-    E14,
     E15,
 }
 
 impl Experiment {
+    /// Every witnessed experiment, in the order `all` runs them.
+    const ALL: [Experiment; 5] = [
+        Experiment::E0,
+        Experiment::E3,
+        Experiment::E12,
+        Experiment::E13,
+        Experiment::E15,
+    ];
+
     fn name(self) -> &'static str {
         match self {
             Experiment::E0 => "e0",
             Experiment::E3 => "e3",
             Experiment::E12 => "e12",
             Experiment::E13 => "e13",
-            Experiment::E14 => "e14",
             Experiment::E15 => "e15",
         }
     }
@@ -128,7 +135,6 @@ impl Experiment {
             "e3" => Some(Experiment::E3),
             "e12" => Some(Experiment::E12),
             "e13" => Some(Experiment::E13),
-            "e14" => Some(Experiment::E14),
             "e15" => Some(Experiment::E15),
             _ => None,
         }
@@ -227,26 +233,6 @@ fn run_child(opts: &ChildOpts) -> ChildReport {
                 Err(e) => (None, format!("e13 error: {e}\n")),
             }
         }
-        Experiment::E14 => {
-            // The speed suite doubles as a batching witness: the tap
-            // replaces each scenario's own observer, so the hashed op
-            // stream covers all three hot paths (including the batched
-            // ones) under every attachment variant.
-            let params = if opts.smoke {
-                e14_simspeed::E14Params::smoke(opts.seed)
-            } else {
-                e14_simspeed::E14Params {
-                    seed: opts.seed,
-                    ..Default::default()
-                }
-            };
-            let out = e14_simspeed::run_traced(&params, Some(&tap));
-            let mut text = e14_simspeed::bench_json(&out);
-            text.push_str(&out.result.to_table());
-            text.push('\n');
-            text.push_str(&out.result.to_csv());
-            (out.result.metrics_jsonl.clone(), text)
-        }
         Experiment::E15 => {
             // Exercises the executor under BOTH scheduler policies (the
             // structure sweep runs round-robin and seeded-random per
@@ -330,7 +316,7 @@ pub fn child_main(args: &[String]) -> i32 {
         }
     }
     if !exp_set {
-        return child_usage("which experiment? (e0|e3|e12|e13|e14|e15)");
+        return child_usage("which experiment? (e0|e3|e12|e13|e15)");
     }
     print!("{}", run_child(&opts).to_wire());
     0
@@ -461,7 +447,7 @@ fn witness_one(opts: &ParentOpts, exp: Experiment) -> Result<(String, bool), Str
     }
 }
 
-/// Entry point for `repro divergence [e0|e3|e12|e13|e14|e15|all] [--seed N]
+/// Entry point for `repro divergence [e0|e3|e12|e13|e15|all] [--seed N]
 /// [--smoke] [--perturb K] [--out DIR]`.
 ///
 /// Exit codes mirror the witness's claim: 0 when every selected
@@ -493,16 +479,7 @@ pub fn parent_main(args: &[String]) -> i32 {
                 Some(p) => opts.out = Some(PathBuf::from(p)),
                 None => return parent_usage("--out needs a directory"),
             },
-            "all" => {
-                opts.exps = vec![
-                    Experiment::E0,
-                    Experiment::E3,
-                    Experiment::E12,
-                    Experiment::E13,
-                    Experiment::E14,
-                    Experiment::E15,
-                ]
-            }
+            "all" => opts.exps = Experiment::ALL.to_vec(),
             other => match Experiment::parse(other) {
                 Some(e) => opts.exps.push(e),
                 None => return parent_usage(&format!("unknown argument `{other}`")),
@@ -510,14 +487,7 @@ pub fn parent_main(args: &[String]) -> i32 {
         }
     }
     if opts.exps.is_empty() {
-        opts.exps = vec![
-            Experiment::E0,
-            Experiment::E3,
-            Experiment::E12,
-            Experiment::E13,
-            Experiment::E14,
-            Experiment::E15,
-        ];
+        opts.exps = Experiment::ALL.to_vec();
     }
 
     let mut all_ok = true;
@@ -573,7 +543,7 @@ pub fn parent_main(args: &[String]) -> i32 {
 fn parent_usage(msg: &str) -> i32 {
     eprintln!("divergence: {msg}");
     eprintln!(
-        "usage: repro divergence [e0|e3|e12|e13|e14|e15|all] [--seed N] [--smoke] [--perturb K] [--out DIR]"
+        "usage: repro divergence [e0|e3|e12|e13|e15|all] [--seed N] [--smoke] [--perturb K] [--out DIR]"
     );
     2
 }

@@ -21,8 +21,7 @@
 //!
 //! The run also produces a plain-text availability report whose
 //! markers (`power-fail`, `zero acknowledged-write loss`) the CI smoke
-//! job greps, and op/cycle totals for the `BENCH_cluster.json`
-//! perf baseline.
+//! job greps.
 
 use cluster::{ClientConfig, ClusterFaultPlan, ClusterParams, ClusterReport, NetParams};
 
@@ -82,10 +81,6 @@ pub struct E12Output {
     pub results: Vec<ExpResult>,
     /// Deterministic plain-text availability report (all load points).
     pub availability_report: String,
-    /// Requests served across all points (perf baseline numerator).
-    pub sim_ops: u64,
-    /// Simulated ticks across all points (perf baseline denominator).
-    pub sim_cycles: u64,
     /// True when every point answered >= 99% of requests with zero
     /// acked-write loss and zero hung requests.
     pub validated: bool,
@@ -187,8 +182,6 @@ pub fn run_traced(p: &E12Params, tap: Option<&WitnessTap>) -> Result<E12Output, 
 
     let mut report_text = String::new();
     let mut metrics_all = String::new();
-    let mut sim_ops = 0u64;
-    let mut sim_cycles = 0u64;
     let mut validated = true;
     let mut down_times: Vec<u64> = Vec::new();
 
@@ -219,8 +212,6 @@ pub fn run_traced(p: &E12Params, tap: Option<&WitnessTap>) -> Result<E12Output, 
             c_replayed.push(load, rr.replayed as f64);
             down_times.push(rr.total_ticks);
         }
-        sim_ops += r.served_ok + r.served_degraded;
-        sim_cycles += r.sim_end;
         validated &= r.lost_acked == 0 && r.unanswered == 0 && r.availability() >= 0.99;
         report_text.push_str(&format!(
             "## load point: interarrival {interarrival} ticks ({load:.1} req/Mtick)\n"
@@ -257,23 +248,8 @@ pub fn run_traced(p: &E12Params, tap: Option<&WitnessTap>) -> Result<E12Output, 
     Ok(E12Output {
         results: vec![avail, lat, rec],
         availability_report: report_text,
-        sim_ops,
-        sim_cycles,
         validated,
     })
-}
-
-/// Renders the deterministic perf baseline (`BENCH_cluster.json`):
-/// simulated fields only, byte-identical per seed, so CI diffs the file
-/// directly. Wall-clock figures go to the sidecar
-/// ([`bench_wall_json`]), which is what the `diff -r` exclusions cover.
-pub fn bench_json(out: &E12Output) -> String {
-    bench::render_flat("e12_cluster", out.sim_ops, out.sim_cycles)
-}
-
-/// Renders the host-dependent sidecar (`BENCH_cluster_wall.json`).
-pub fn bench_wall_json(out: &E12Output, wall_us: u64) -> String {
-    bench::render_flat_wall("e12_cluster", out.sim_ops, wall_us)
 }
 
 #[cfg(test)]
@@ -294,7 +270,6 @@ mod tests {
             !rec.curves[0].points.is_empty(),
             "recovery curve must have points"
         );
-        assert!(out.sim_ops > 0);
     }
 
     #[test]
@@ -313,8 +288,9 @@ mod tests {
         let a = run(&E12Params::smoke(9)).expect("a");
         let b = run(&E12Params::smoke(9)).expect("b");
         assert_eq!(a.availability_report, b.availability_report);
-        assert_eq!(a.sim_ops, b.sim_ops);
-        assert_eq!(a.sim_cycles, b.sim_cycles);
+        for (ra, rb) in a.results.iter().zip(&b.results) {
+            assert_eq!(ra.to_csv(), rb.to_csv());
+        }
     }
 
     #[test]
@@ -324,23 +300,5 @@ mod tests {
             ..E12Params::default()
         };
         assert!(matches!(run(&p), Err(ExpError::BadParams(_))));
-    }
-
-    #[test]
-    fn bench_json_shape() {
-        let out = run(&E12Params::smoke(2)).expect("e12");
-        let j = bench_json(&out);
-        assert!(j.contains("\"experiment\": \"e12_cluster\""));
-        assert!(j.contains("\"sim_ops\""));
-        // Deterministic part carries no wall-clock field; that lives in
-        // the sidecar, which carries no simulated field.
-        assert!(!j.contains("wall"));
-        let w = bench_wall_json(&out, 1_234_000);
-        assert!(w.contains("\"wall_us\": 1234000"));
-        assert!(!w.contains("sim_cycles"));
-        // ops/Mcycle survives a render/parse round trip for the gate.
-        let entries = bench::parse_bench(&j).expect("parses");
-        assert_eq!(entries[0].sim_ops, out.sim_ops);
-        assert_eq!(entries[0].sim_cycles, out.sim_cycles);
     }
 }

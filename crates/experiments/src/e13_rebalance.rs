@@ -138,10 +138,6 @@ pub struct E13Output {
     pub results: Vec<ExpResult>,
     /// Deterministic plain-text report, one section per drill.
     pub rebalance_report: String,
-    /// Requests served across all drills (perf baseline numerator).
-    pub sim_ops: u64,
-    /// Simulated ticks across all drills (perf baseline denominator).
-    pub sim_cycles: u64,
     /// True when every drill held the three rebalance oracles, finished
     /// its migration, answered every request, and kept availability
     /// at 99% or better.
@@ -248,8 +244,6 @@ pub fn run_traced(p: &E13Params, tap: Option<&WitnessTap>) -> Result<E13Output, 
 
     let mut report_text = String::new();
     let mut metrics_all = String::new();
-    let mut sim_ops = 0u64;
-    let mut sim_cycles = 0u64;
     let mut validated = true;
 
     for idx in 0..p.drills.len() {
@@ -267,8 +261,6 @@ pub fn run_traced(p: &E13Params, tap: Option<&WitnessTap>) -> Result<E13Output, 
         c_aborted.push(x, m.slices_aborted as f64);
         c_copied.push(x, m.records_copied as f64);
         c_repair.push(x, r.repair_bytes as f64);
-        sim_ops += r.served_ok + r.served_degraded;
-        sim_cycles += r.sim_end;
         let oracles_ok = r.lost_acked == 0
             && r.stale_epoch_acks == 0
             && r.ownership_consistent
@@ -308,23 +300,8 @@ pub fn run_traced(p: &E13Params, tap: Option<&WitnessTap>) -> Result<E13Output, 
     Ok(E13Output {
         results: vec![avail, lat, mig],
         rebalance_report: report_text,
-        sim_ops,
-        sim_cycles,
         validated,
     })
-}
-
-/// Renders the deterministic perf baseline (`BENCH_rebalance.json`):
-/// simulated fields only, byte-identical per seed, so CI diffs the file
-/// directly. Wall-clock figures go to the sidecar
-/// ([`bench_wall_json`]), which is what the `diff -r` exclusions cover.
-pub fn bench_json(out: &E13Output) -> String {
-    bench::render_flat("e13_rebalance", out.sim_ops, out.sim_cycles)
-}
-
-/// Renders the host-dependent sidecar (`BENCH_rebalance_wall.json`).
-pub fn bench_wall_json(out: &E13Output, wall_us: u64) -> String {
-    bench::render_flat_wall("e13_rebalance", out.sim_ops, wall_us)
 }
 
 #[cfg(test)]
@@ -343,7 +320,6 @@ mod tests {
             .rebalance_report
             .contains("zero acknowledged-write loss"));
         assert_eq!(out.results.len(), 3);
-        assert!(out.sim_ops > 0);
     }
 
     #[test]
@@ -367,8 +343,9 @@ mod tests {
         let a = run(&E13Params::smoke(9)).expect("a");
         let b = run(&E13Params::smoke(9)).expect("b");
         assert_eq!(a.rebalance_report, b.rebalance_report);
-        assert_eq!(a.sim_ops, b.sim_ops);
-        assert_eq!(a.sim_cycles, b.sim_cycles);
+        for (ra, rb) in a.results.iter().zip(&b.results) {
+            assert_eq!(ra.to_csv(), rb.to_csv());
+        }
     }
 
     #[test]
@@ -383,25 +360,5 @@ mod tests {
             ..E13Params::default()
         };
         assert!(matches!(run(&p), Err(ExpError::BadParams(_))));
-    }
-
-    #[test]
-    fn bench_json_shape() {
-        let p = E13Params {
-            drills: vec![FULL_DRILLS[0]],
-            ..E13Params::smoke(2)
-        };
-        let out = run(&p).expect("e13");
-        let j = bench_json(&out);
-        assert!(j.contains("\"experiment\": \"e13_rebalance\""));
-        // Deterministic part carries no wall-clock field; that lives in
-        // the sidecar, which carries no simulated field.
-        assert!(!j.contains("wall"));
-        let w = bench_wall_json(&out, 77_000);
-        assert!(w.contains("\"wall_us\": 77000"));
-        assert!(!w.contains("sim_cycles"));
-        let entries = bench::parse_bench(&j).expect("parses");
-        assert_eq!(entries[0].sim_ops, out.sim_ops);
-        assert_eq!(entries[0].sim_cycles, out.sim_cycles);
     }
 }

@@ -19,9 +19,9 @@ use optane_core::Generation;
 
 use crate::common::{log_sweep, ExpError, ExpResult, MetricsSpec};
 use crate::{
-    e0_bandwidth, e10_pmcheck, e11_faultsim, e12_cluster, e13_rebalance, e14_simspeed, e15_mt,
-    e1_read_buffer, e2_prefetch, e3_write_amp, e4_wb_hit, e5_rap, e6_latency, e7_cceh, e8_btree,
-    e9_redirect, ext_mixes, table1,
+    e0_bandwidth, e10_pmcheck, e11_faultsim, e12_cluster, e13_rebalance, e15_mt, e1_read_buffer,
+    e2_prefetch, e3_write_amp, e4_wb_hit, e5_rap, e6_latency, e7_cceh, e8_btree, e9_redirect,
+    ext_mixes, table1,
 };
 
 /// Run scale: how much work each experiment does.
@@ -72,7 +72,6 @@ pub const EXPERIMENT_NAMES: &[&str] = &[
     "e9",
     "cluster",
     "rebalance",
-    "bench",
     "e15",
 ];
 
@@ -481,25 +480,11 @@ pub fn matrix(
                     }
                 };
                 p.metrics = metrics;
-                let t0 = std::time::Instant::now();
                 let r = e12_cluster::run(&p).map_err(|e| exp_err("cluster", e))?;
-                let wall_us = t0.elapsed().as_micros() as u64;
                 let mut output = finish(&out, &r.results)?;
                 let report_rel = PathBuf::from("cluster_availability.txt");
                 write_atomic(&out.join(&report_rel), r.availability_report.as_bytes())?;
                 output.artifacts.push(report_rel);
-                let bench_rel = PathBuf::from("BENCH_cluster.json");
-                write_atomic(
-                    &out.join(&bench_rel),
-                    e12_cluster::bench_json(&r).as_bytes(),
-                )?;
-                output.artifacts.push(bench_rel);
-                let wall_rel = PathBuf::from("BENCH_cluster_wall.json");
-                write_atomic(
-                    &out.join(&wall_rel),
-                    e12_cluster::bench_wall_json(&r, wall_us).as_bytes(),
-                )?;
-                output.artifacts.push(wall_rel);
                 output.validated = r.validated;
                 output.summary.push_str(if r.validated {
                     "\ncluster: every request answered, zero acknowledged-write loss"
@@ -525,25 +510,11 @@ pub fn matrix(
                     }
                 };
                 p.metrics = metrics;
-                let t0 = std::time::Instant::now();
                 let r = e13_rebalance::run(&p).map_err(|e| exp_err("rebalance", e))?;
-                let wall_us = t0.elapsed().as_micros() as u64;
                 let mut output = finish(&out, &r.results)?;
                 let report_rel = PathBuf::from("rebalance_report.txt");
                 write_atomic(&out.join(&report_rel), r.rebalance_report.as_bytes())?;
                 output.artifacts.push(report_rel);
-                let bench_rel = PathBuf::from("BENCH_rebalance.json");
-                write_atomic(
-                    &out.join(&bench_rel),
-                    e13_rebalance::bench_json(&r).as_bytes(),
-                )?;
-                output.artifacts.push(bench_rel);
-                let wall_rel = PathBuf::from("BENCH_rebalance_wall.json");
-                write_atomic(
-                    &out.join(&wall_rel),
-                    e13_rebalance::bench_wall_json(&r, wall_us).as_bytes(),
-                )?;
-                output.artifacts.push(wall_rel);
                 output.validated = r.validated;
                 output.summary.push_str(if r.validated {
                     "\nrebalance: every drill held the oracles — zero acked-write loss, \
@@ -552,53 +523,6 @@ pub fn matrix(
                     "\nrebalance: VALIDATION FAILED (oracle violation, unfinished migration, \
                      or availability < 99%)"
                 });
-                Ok(output)
-            }),
-        ));
-    }
-    if wants("bench") {
-        let out = out.clone();
-        jobs.push(ExperimentJob::boxed(
-            "bench",
-            Box::new(move |ctx| {
-                let p = if scale.smoke() {
-                    e14_simspeed::E14Params::smoke(ctx.seed)
-                } else {
-                    e14_simspeed::E14Params {
-                        seed: ctx.seed,
-                        ..Default::default()
-                    }
-                };
-                let r = e14_simspeed::run(&p);
-                let mut output = finish(&out, std::slice::from_ref(&r.result))?;
-                let bench_rel = PathBuf::from("BENCH_sim.json");
-                write_atomic(
-                    &out.join(&bench_rel),
-                    e14_simspeed::bench_json(&r).as_bytes(),
-                )?;
-                output.artifacts.push(bench_rel);
-                let wall_rel = PathBuf::from("BENCH_sim_wall.json");
-                write_atomic(
-                    &out.join(&wall_rel),
-                    e14_simspeed::bench_wall_json(&r).as_bytes(),
-                )?;
-                output.artifacts.push(wall_rel);
-                let nosink_e0 = r
-                    .scenarios
-                    .iter()
-                    .find(|s| s.name == "e0_stream_nosink")
-                    .map(|s| {
-                        format!(
-                            "{:.0} sim-ops/wall-sec, {:.1} sim-ops/Mcycle",
-                            bench::ops_per_wall_sec(s.sim_ops, s.wall_us),
-                            bench::ops_per_mcycle(s.sim_ops, s.sim_cycles)
-                        )
-                    })
-                    .unwrap_or_else(|| "missing".into());
-                output.summary.push_str(&format!(
-                    "\nbench: {} scenarios measured; no-sink E0 hot path at {nosink_e0}",
-                    r.scenarios.len()
-                ));
                 Ok(output)
             }),
         ));
@@ -700,18 +624,16 @@ mod tests {
         assert!(ids.contains(&"faultsim:g1".to_string()));
         assert!(ids.contains(&"cluster".to_string()));
         assert!(ids.contains(&"rebalance".to_string()));
-        assert!(ids.contains(&"bench".to_string()));
         assert!(ids.contains(&"e15:g1".to_string()));
         assert!(ids.contains(&"e15:g2".to_string()));
-        assert_eq!(ids.len(), 29, "11 per-gen × 2 + 7 singletons: {ids:?}");
+        assert_eq!(ids.len(), 28, "11 per-gen × 2 + 6 singletons: {ids:?}");
         // Canonical order: e0 before e9, pmcheck before faultsim.
         let pos = |id: &str| ids.iter().position(|x| x == id).unwrap();
         assert!(pos("e0:g1") < pos("e9:g1"));
         assert!(pos("pmcheck:g1") < pos("faultsim:g1"));
         assert!(pos("e9:g1") < pos("cluster"));
         assert!(pos("cluster") < pos("rebalance"));
-        assert!(pos("rebalance") < pos("bench"));
-        assert!(pos("bench") < pos("e15:g1"));
+        assert!(pos("rebalance") < pos("e15:g1"));
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //! | [`e11_faultsim`] | extension: fault injection + crash-state exploration | — |
 //! | [`e12_cluster`] | extension: fault-tolerant sharded cluster under load | — |
 //! | [`e13_rebalance`] | extension: crash-safe keyspace migration + anti-entropy | — |
-//! | [`e14_simspeed`] | extension: simulator speed benchmark + CI gate | — |
 //! | [`e15_mt`] | extension: multi-thread contention on the deterministic executor | — |
 
 #![forbid(unsafe_code)]
@@ -36,7 +35,6 @@ pub mod e10_pmcheck;
 pub mod e11_faultsim;
 pub mod e12_cluster;
 pub mod e13_rebalance;
-pub mod e14_simspeed;
 pub mod e15_mt;
 pub mod e1_read_buffer;
 pub mod e2_prefetch;

@@ -293,7 +293,7 @@ mod tests {
         assert_eq!(classify("crates/harness/src/lib.rs"), FileClass::General);
         assert_eq!(classify("crates/core/tests/crash.rs"), FileClass::Test);
         assert_eq!(classify("tests/paper_claims.rs"), FileClass::Test);
-        assert_eq!(classify("crates/bench/benches/figures.rs"), FileClass::Test);
+        assert_eq!(classify("crates/core/benches/hot_path.rs"), FileClass::Test);
     }
 
     #[test]

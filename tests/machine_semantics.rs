@@ -3,7 +3,10 @@
 
 use optane_study::core::{CrashPolicy, Generation, Machine, MachineConfig};
 use optane_study::cpucache::PrefetchConfig;
+use optane_study::pmds::{ChaseList, WriteKind};
+use optane_study::pmem::{PersistMode, SimEnv};
 use optane_study::simbase::XPLINE_BYTES;
+use optane_study::workloads::AccessOrder;
 
 fn g1() -> Machine {
     Machine::new(MachineConfig::g1(PrefetchConfig::none(), 1))
@@ -235,4 +238,63 @@ fn streaming_copy_round_trips_and_avoids_prefetch_training() {
     }
     let d = m.metrics().telemetry.delta(&before);
     assert_eq!(d.media.read, 4 * XPLINE_BYTES, "no prefetch waste");
+}
+
+#[test]
+fn read_buffer_capacity_sets_the_ra_step() {
+    // One cacheline per pass over 64 XPLines (16 KB): a buffer of 64 or
+    // more lines serves passes 2–4, a 32-line buffer re-reads the media.
+    for (lines, ra) in [(32usize, 4.0), (64, 1.0), (128, 1.0)] {
+        let mut cfg = MachineConfig::g1(PrefetchConfig::none(), 1);
+        cfg.pm.dimm.read_buffer_lines = lines;
+        let mut m = Machine::new(cfg);
+        let t = m.spawn(0);
+        let base = m.alloc_pm(16 << 10, 256);
+        for pass in 0..4u64 {
+            for x in 0..64u64 {
+                let a = base.add_xplines(x).add_cachelines(pass);
+                m.load_u64(t, a);
+                m.clflushopt(t, a);
+            }
+        }
+        assert_eq!(
+            m.metrics().telemetry.read_amplification(),
+            ra,
+            "{lines} lines"
+        );
+    }
+}
+
+#[test]
+fn eadr_leaves_persist_timing_unchanged() {
+    // eADR changes what a crash keeps (`eadr_vs_adr_crash_difference`),
+    // not what a strict-persistency clwb chase costs per element.
+    for eadr in [false, true] {
+        let mut cfg = MachineConfig::g2(PrefetchConfig::all(), 1);
+        cfg.eadr = eadr;
+        let mut m = Machine::new(cfg);
+        let t = m.spawn(0);
+        let mut env = SimEnv::new(&mut m, t);
+        let list = ChaseList::build(&mut env, 256, AccessOrder::Random, 1);
+        let per_element = list.lap_write(&mut env, WriteKind::Clwb, PersistMode::Strict, 1);
+        assert_eq!(per_element, 750, "eadr={eadr}");
+    }
+}
+
+#[test]
+fn prefetchers_leave_a_sequential_chase_unchanged() {
+    // A 1 MB sequential chase over 256 B elements costs the same per
+    // element with every prefetcher on as with none: the adjacent-line
+    // prefetcher fills each element's unread pad line, and the streamer
+    // never trains on the four-line stride.
+    for pf in [PrefetchConfig::none(), PrefetchConfig::all()] {
+        let mut m = Machine::new(MachineConfig::g1(pf, 1));
+        let t = m.spawn(0);
+        let mut env = SimEnv::new(&mut m, t);
+        let list = ChaseList::build(&mut env, 4096, AccessOrder::Sequential, 2);
+        assert_eq!(list.lap_read(&mut env), 447);
+        let prefetch = env.machine().metrics().sockets[0].prefetch;
+        assert_eq!(prefetch.stream, 0);
+        assert_eq!(prefetch.adjacent, if pf.adjacent_line { 4096 } else { 0 });
+    }
 }
